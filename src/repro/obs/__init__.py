@@ -25,9 +25,11 @@ rides the same stream as bus taps:
   (Eq. 1, token conservation) and reports violations instead of
   asserting mid-run.
 * :mod:`repro.obs.registry` — a counter/gauge/histogram registry fed
-  from the same emit sites, snapshot into bench artifacts.
-* :mod:`repro.obs.exposition` — Prometheus text rendering and the
-  asyncio ``/metrics`` endpoint for live runs.
+  from the same emit sites, snapshot into bench artifacts; the one
+  instrument model (every histogram cell is a ``PerfHistogram``, and
+  the trace summarizer folds through the same feed).
+* :mod:`repro.obs.exposition` — the one Prometheus text renderer and
+  the asyncio ``/metrics`` endpoint for live runs.
 * :mod:`repro.obs.flow` — the flow & resource plane: per-link wire
   accounting, queue/backpressure watermarks, and opt-in memory
   telemetry, surfaced as ``flow.*`` trace rollups, ``repro_flow_*``
@@ -66,15 +68,9 @@ from repro.obs.flow import (
     emit_flow_events,
     entity_table_bytes,
     format_flow_report,
-    render_flow_prometheus,
     track_flow,
 )
-from repro.obs.perf import (
-    PerfHistogram,
-    PerfRecorder,
-    PerfSpanTap,
-    render_perf_prometheus,
-)
+from repro.obs.perf import PerfHistogram, PerfRecorder, PerfSpanTap
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, feed_registry
 from repro.obs.schema import (
     SCHEMA,
@@ -119,8 +115,6 @@ __all__ = [
     "format_trace_summary",
     "iter_trace",
     "read_trace",
-    "render_flow_prometheus",
-    "render_perf_prometheus",
     "render_top",
     "track_demand",
     "track_flow",

@@ -29,8 +29,8 @@ resource plane:
 Surfaces follow the house pattern: bounded ``flow.*`` rollup events
 written by the bus *owner* at collect (:func:`emit_flow_events` — taps
 never emit), an offline ``repro trace FILE --flow`` report
-(:func:`track_flow` + :func:`format_flow_report`), Prometheus gauges on
-live ``/metrics`` (:func:`render_flow_prometheus`), and a ``flow``
+(:func:`track_flow` + :func:`format_flow_report`), Prometheus families on
+live ``/metrics`` (:meth:`FlowTracker.to_registry`), and a ``flow``
 section in bench artifacts (:meth:`FlowTracker.snapshot`) whose
 :meth:`FlowTracker.headline` subtree the regression gate pins — the
 byte budget the planned binary codec must beat.
@@ -67,7 +67,6 @@ __all__ = [
     "emit_flow_events",
     "entity_table_bytes",
     "format_flow_report",
-    "render_flow_prometheus",
     "track_flow",
 ]
 
@@ -373,6 +372,67 @@ class FlowTracker:
         if self.batch.overhead_ratio is not None:
             out["overhead_ratio"] = round(self.batch.overhead_ratio, 4)
         return out
+
+    def to_registry(self):
+        """The tracker's state as registry instruments (``/metrics``).
+
+        Built per scrape: the hot paths keep their cached ``_WireFlow``
+        / ``_QueueFlow`` handles, and the scrape folds them into the
+        instrument model :func:`~repro.obs.exposition.render_prometheus`
+        writes.  A family with no cells is left out.
+        """
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry(max_label_values=None)
+        batch = self.batch
+        sources = {
+            "links": self.links,
+            "types": {(name,): wire for name, wire in self.types.items()},
+            "queues": {(name,): gauge for name, gauge in self.queues.items()},
+            "batch": {(): batch} if batch.envelopes or batch.passthrough else {},
+        }
+        for kind, name, help_text, source, field in _PROMETHEUS_FAMILIES:
+            cells = sources[source]
+            if cells:
+                instrument = getattr(registry, kind)(
+                    name, help_text, _PROMETHEUS_LABELS[source]
+                )
+                for labels, flow in cells.items():
+                    instrument.cells[labels] = getattr(flow, field)
+        return registry
+
+
+#: ``/metrics`` families built from a tracker:
+#: (kind, name, help, source, field of the source's flow objects).
+_PROMETHEUS_FAMILIES = (
+    ("counter", "repro_flow_link_bytes_total", "Framed wire bytes per region link",
+     "links", "frame_bytes"),
+    ("counter", "repro_flow_link_frames_total", "Frames per region link",
+     "links", "frames"),
+    ("counter", "repro_flow_type_bytes_total", "Framed wire bytes per message type",
+     "types", "frame_bytes"),
+    ("counter", "repro_flow_type_frames_total", "Frames per message type",
+     "types", "frames"),
+    ("gauge", "repro_flow_queue_depth", "Last observed queue depth",
+     "queues", "depth"),
+    ("gauge", "repro_flow_queue_high_watermark", "Maximum observed queue depth",
+     "queues", "high"),
+    ("counter", "repro_flow_queue_dropped_total",
+     "Messages dropped at a full queue (backpressure)", "queues", "dropped"),
+    ("counter", "repro_flow_batch_envelopes_total", "Batch envelopes sent",
+     "batch", "envelopes"),
+    ("counter", "repro_flow_batch_inner_total", "Payloads coalesced into envelopes",
+     "batch", "inner"),
+    ("counter", "repro_flow_batch_passthrough_total", "Singleton payloads sent bare",
+     "batch", "passthrough"),
+)
+
+_PROMETHEUS_LABELS = {
+    "links": ("src", "dst"),
+    "types": ("msg_type",),
+    "queues": ("queue",),
+    "batch": (),
+}
 
 
 class ResourceProbe:
@@ -714,109 +774,3 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
         )
 
     return "\n\n".join(sections)
-
-
-def render_flow_prometheus(tracker: FlowTracker) -> str:
-    """Flow state as Prometheus text-format families (live ``/metrics``)."""
-    lines: list[str] = []
-
-    def family(name: str, kind: str, help_text: str, samples: list[str]) -> None:
-        if not samples:
-            return
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(samples)
-
-    family(
-        "repro_flow_link_bytes_total",
-        "counter",
-        "Framed wire bytes per region link",
-        [
-            f'repro_flow_link_bytes_total{{src="{src}",dst="{dst}"}} '
-            f"{tracker.links[(src, dst)].frame_bytes}"
-            for src, dst in sorted(tracker.links)
-        ],
-    )
-    family(
-        "repro_flow_link_frames_total",
-        "counter",
-        "Frames per region link",
-        [
-            f'repro_flow_link_frames_total{{src="{src}",dst="{dst}"}} '
-            f"{tracker.links[(src, dst)].frames}"
-            for src, dst in sorted(tracker.links)
-        ],
-    )
-    family(
-        "repro_flow_type_bytes_total",
-        "counter",
-        "Framed wire bytes per message type",
-        [
-            f'repro_flow_type_bytes_total{{msg_type="{name}"}} '
-            f"{tracker.types[name].frame_bytes}"
-            for name in sorted(tracker.types)
-        ],
-    )
-    family(
-        "repro_flow_type_frames_total",
-        "counter",
-        "Frames per message type",
-        [
-            f'repro_flow_type_frames_total{{msg_type="{name}"}} '
-            f"{tracker.types[name].frames}"
-            for name in sorted(tracker.types)
-        ],
-    )
-    family(
-        "repro_flow_queue_depth",
-        "gauge",
-        "Last observed queue depth",
-        [
-            f'repro_flow_queue_depth{{queue="{name}"}} '
-            f"{tracker.queues[name].depth}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    family(
-        "repro_flow_queue_high_watermark",
-        "gauge",
-        "Maximum observed queue depth",
-        [
-            f'repro_flow_queue_high_watermark{{queue="{name}"}} '
-            f"{tracker.queues[name].high}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    family(
-        "repro_flow_queue_dropped_total",
-        "counter",
-        "Messages dropped at a full queue (backpressure)",
-        [
-            f'repro_flow_queue_dropped_total{{queue="{name}"}} '
-            f"{tracker.queues[name].dropped}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    batch = tracker.batch
-    if batch.envelopes or batch.passthrough:
-        family(
-            "repro_flow_batch_envelopes_total",
-            "counter",
-            "Batch envelopes sent",
-            [f"repro_flow_batch_envelopes_total {batch.envelopes}"],
-        )
-        family(
-            "repro_flow_batch_inner_total",
-            "counter",
-            "Payloads coalesced into envelopes",
-            [f"repro_flow_batch_inner_total {batch.inner}"],
-        )
-        family(
-            "repro_flow_batch_passthrough_total",
-            "counter",
-            "Singleton payloads sent bare",
-            [f"repro_flow_batch_passthrough_total {batch.passthrough}"],
-        )
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"

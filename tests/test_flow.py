@@ -27,7 +27,6 @@ from repro.obs import (
     emit_flow_events,
     entity_table_bytes,
     format_flow_report,
-    render_flow_prometheus,
     track_flow,
     validate_events,
 )
@@ -99,7 +98,7 @@ class TestFlowTracker:
     def test_empty_tracker_renders(self):
         tracker = FlowTracker()
         assert "0 frames" in format_flow_report(tracker)
-        assert render_flow_prometheus(tracker) == ""
+        assert render_prometheus(tracker.to_registry()) == ""
 
 
 #: Random interleavings: enqueue, dequeue, batch drain, passive observe.
@@ -230,7 +229,7 @@ class TestEndToEnd:
         assert not any(t.startswith("flow.mem") for t in types)
 
     def test_prometheus_families_are_disjoint_from_the_feed(self):
-        # A live scrape appends render_flow_prometheus after the
+        # A live scrape appends the tracker's registry view after the
         # registry render; the two must never repeat a family name.
         registry = MetricsRegistry()
         feed = TraceMetricsFeed(registry)
@@ -249,7 +248,7 @@ class TestEndToEnd:
             }
 
         feed_families = families(render_prometheus(registry))
-        flow_families = families(render_flow_prometheus(tracker))
+        flow_families = families(render_prometheus(tracker.to_registry()))
         assert flow_families
         assert "repro_flow_wire_bytes_total" in feed_families
         assert not feed_families & flow_families

@@ -24,6 +24,7 @@ from repro.obs import (
     validate_event,
     validate_events,
 )
+from repro.net.regions import Region
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
 
@@ -160,6 +161,19 @@ class TestSchema:
         assert len(events) == 3
         assert validate_events(events) == []
         assert events[2]["outcome"] == "granted"
+
+    def test_gzip_trace_decompresses_to_the_plain_trace(self, tmp_path):
+        import gzip
+
+        paths = (tmp_path / "t.jsonl", tmp_path / "t.jsonl.gz")
+        for path in paths:
+            bus = EventBus(Kernel(seed=1), JsonlSink(path))
+            bus.emit("request.shed", node="c\u00e9", kind="acquire", ratio=float("nan"))
+            bus.emit("run.end", node="", path=path.parent / "x", region=Region.US_WEST1)
+            bus.close()
+        plain = paths[0].read_bytes()
+        assert gzip.decompress(paths[1].read_bytes()) == plain
+        assert plain.startswith(b'{"ts":0.0,"type":"request.shed","node":"c\\u00e9",')
 
     def test_read_trace_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -6,6 +6,8 @@ the metrics registry and the liveness watchdog all on.  Simulated time
 makes every report machine-independent, so they are compared byte for
 byte against the committed text under ``tests/golden_obs/``:
 
+* the trace file itself — its sha256, so every event, key order and
+  float spelling the trace sink writes is pinned;
 * ``repro trace FILE`` (``format_trace_summary``), ``--demand`` and
   ``--flow`` reports — exact;
 * ``metrics_snapshot`` — every committed key keeps its value (a new
@@ -22,6 +24,7 @@ config with a throwaway script and names the change in the commit.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import json
 import urllib.request
@@ -125,6 +128,12 @@ def golden_run(tmp_path_factory):
 
 def _check_text(name: str, text: str) -> None:
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_trace_bytes_golden(golden_run):
+    path, _, _ = golden_run
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert digest == (GOLDEN / "trace.sha256").read_text(encoding="ascii").split()[0]
 
 
 def test_trace_summary_golden(golden_run):

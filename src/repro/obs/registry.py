@@ -23,12 +23,20 @@ O(entities) /metrics page — so every registry-created instrument caps
 its cell count (``max_label_values``, default 1024): once the cap is
 hit, *new* label combinations aggregate into a single
 ``"__other__"`` overflow cell while existing cells keep updating.
-Exposition stays O(cap) no matter how many entities a run touches.  :class:`TraceMetricsFeed` is the bridge from the event stream:
+Exposition stays O(cap) no matter how many entities a run touches.
+A label tuple that owns a real cell is bound to its key once
+(:meth:`_Family.bind`), so later writes skip the cap check; tuples in
+the overflow cell re-check, which keeps the bindings within the cap.
+
+:class:`TraceMetricsFeed` is the bridge from the event stream:
 subscribed as an :class:`~repro.obs.bus.EventBus` tap, it folds every
 event into the standard instrument set below, which means sim runs,
 live runs, offline trace replays and the ``repro trace`` summary
 (:mod:`repro.obs.summary` folds through a feed) all produce identical
-numbers for identical traffic.
+numbers for identical traffic.  It dispatches on the event type through
+a table of folds; the hot ones (``msg.send``, ``msg.deliver``,
+``span.begin``, ``span.end``, ``site.serve``) write their families'
+bound cells directly instead of going through ``inc``/``observe``.
 
 Standard instruments (all prefixed ``repro_``):
 
@@ -83,7 +91,7 @@ name                                      kind     labels
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.perf import PerfHistogram
 
@@ -129,6 +137,24 @@ class _Family:
         self.labelnames = labelnames
         self.max_cells = max_cells
         self.cells: dict[LabelValues, Any] = {}
+        #: Pre-bound cells: label values -> the key of the real cell they
+        #: own.  A cell is never removed, so a binding never goes stale,
+        #: and only real cells bind, so this never outgrows the cap.
+        self._bound: dict[LabelValues, LabelValues] = {}
+
+    def bind(self, labels: LabelValues) -> LabelValues:
+        """The key of the cell ``labels`` write to, allocated if new."""
+        key = self._bound.get(labels)
+        if key is None:
+            key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
+            if key not in self.cells:
+                self.cells[key] = self._new_cell()
+            if key == labels:
+                self._bound[labels] = key
+        return key
+
+    def _new_cell(self) -> Any:
+        return 0.0
 
 
 class Counter(_Family):
@@ -137,8 +163,8 @@ class Counter(_Family):
     kind = "counter"
 
     def inc(self, *labels: str, value: float = 1.0) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
-        self.cells[key] = self.cells.get(key, 0.0) + value
+        key = self.bind(labels)
+        self.cells[key] += value
 
 
 class Gauge(_Family):
@@ -147,8 +173,7 @@ class Gauge(_Family):
     kind = "gauge"
 
     def set(self, *labels: str, value: float) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
-        self.cells[key] = value
+        self.cells[self.bind(labels)] = value
 
 
 class HistogramFamily(_Family):
@@ -162,11 +187,10 @@ class HistogramFamily(_Family):
     kind = "histogram"
 
     def observe(self, *labels: str, value: float) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
-        hist = self.cells.get(key)
-        if hist is None:
-            hist = self.cells[key] = PerfHistogram()
-        hist.record(value)
+        self.cells[self.bind(labels)].record(value)
+
+    def _new_cell(self) -> PerfHistogram:
+        return PerfHistogram()
 
     def count(self, *labels: str) -> int:
         hist = self.cells.get(tuple(labels))
@@ -374,117 +398,158 @@ class TraceMetricsFeed:
         #: node -> [ape_sum, ape_count] running MAPE accumulators.
         self._mape: dict[str, list[float]] = {}
 
+        #: Event type -> its fold; types not listed fold by prefix.
+        self._handlers: dict[str, Callable[[Mapping[str, Any], str], None]] = {
+            "msg.send": self._on_msg_send,
+            "msg.deliver": self._on_msg_deliver,
+            "span.begin": _skip,
+            "span.end": self._on_span_end,
+            "site.serve": self._on_site_serve,
+            "realloc.trigger": self._on_realloc,
+            "realloc.apply": self._on_realloc,
+            "invariant.check": lambda event, etype: self.invariant_checks.inc(),
+            "invariant.violation": lambda event, etype: self.invariant_violations.inc(
+                str(event.get("invariant", "?"))
+            ),
+            "flow.backpressure": lambda event, etype: self.flow_backpressure.inc(
+                str(event.get("queue", "?"))
+            ),
+            "epoch.close": self._on_epoch_close,
+        }
+        self._prefix_handlers = (
+            ("msg.", self._on_msg),
+            ("fault.", lambda event, etype: self.faults.inc(etype[6:])),
+            ("pledge.", self._on_pledge),
+            ("liveness.", lambda event, etype: self.liveness_events.inc(etype[9:])),
+        )
+
     def __call__(self, event: Mapping[str, Any]) -> None:
         etype = event.get("type", "")
         if type(etype) is not str:
             # A malformed trace line still counts, so `repro trace`
             # summarizes the rest of the file.
             etype = str(etype)
-        self.events.inc(etype)
+        events = self.events
+        events.cells[events.bind((etype,))] += 1.0
         ts = event.get("ts")
         if isinstance(ts, (int, float)) and not isinstance(ts, bool):
-            self.clock.set(value=float(ts))
-        if etype.startswith("msg."):
-            self.messages.inc(etype[4:], str(event.get("msg_type", "?")))
-            if etype == "msg.send":
-                # Byte stamps only exist on flow-enabled runs; the
-                # end-of-run flow.* rollups are deliberately NOT folded
-                # here — they would double-count these increments.
-                payload = event.get("bytes")
-                if isinstance(payload, bool) or not isinstance(payload, int):
-                    payload = None
-                frame = event.get("frame_bytes")
-                if isinstance(frame, bool) or not isinstance(frame, int):
-                    frame = None if payload is None else payload + 4
-                if frame is not None:
-                    msg_type = str(event.get("msg_type", "?"))
-                    self.flow_wire_bytes.inc(msg_type, value=float(frame))
-                    self.flow_wire_frames.inc(msg_type)
-                    if payload is not None:
-                        self.flow_wire_payload_bytes.inc(
-                            msg_type, value=float(payload)
-                        )
-            if etype == "msg.deliver":
-                latency = event.get("latency")
-                if isinstance(latency, (int, float)):
-                    self.message_latency.observe(
-                        str(event.get("src_region", "?")),
-                        str(event.get("dst_region", "?")),
-                        value=float(latency),
-                    )
-        elif etype == "span.end":
-            self.span_duration.observe(
-                str(event.get("span", "?")), value=float(event.get("dur", 0.0))
-            )
-            if event.get("span") == "request":
-                self.requests.inc(str(event.get("outcome", "?")))
-        elif etype in ("realloc.trigger", "realloc.apply"):
-            self.reallocations.inc(etype[8:])
-            if etype == "realloc.apply":
-                tokens_after = event.get("tokens_after")
-                if isinstance(tokens_after, int):
-                    self.tokens_left.set(
-                        str(event.get("node", "")), value=float(tokens_after)
-                    )
-        elif etype.startswith("fault."):
-            self.faults.inc(etype[6:])
-        elif etype.startswith("pledge."):
+            self.clock.cells[()] = float(ts)
+        handler = self._handlers.get(etype)
+        if handler is None:
+            handler = _skip
+            for prefix, fold in self._prefix_handlers:
+                if etype.startswith(prefix):
+                    handler = fold
+                    break
+        handler(event, etype)
+
+    # -- hot folds: pre-bound cells, written directly --------------------------
+
+    def _on_msg(self, event: Mapping[str, Any], etype: str) -> str:
+        msg_type = event.get("msg_type", "?")
+        if type(msg_type) is not str:
+            msg_type = str(msg_type)
+        messages = self.messages
+        messages.cells[messages.bind((etype[4:], msg_type))] += 1.0
+        return msg_type
+
+    def _on_msg_send(self, event: Mapping[str, Any], etype: str) -> None:
+        msg_type = self._on_msg(event, etype)
+        # Byte stamps only exist on flow-enabled runs; the end-of-run
+        # flow.* rollups are deliberately NOT folded here — they would
+        # double-count these increments.
+        payload = event.get("bytes")
+        if isinstance(payload, bool) or not isinstance(payload, int):
+            payload = None
+        frame = event.get("frame_bytes")
+        if isinstance(frame, bool) or not isinstance(frame, int):
+            frame = None if payload is None else payload + 4
+        if frame is not None:
+            labels = (msg_type,)
+            wire_bytes, frames = self.flow_wire_bytes, self.flow_wire_frames
+            wire_bytes.cells[wire_bytes.bind(labels)] += float(frame)
+            frames.cells[frames.bind(labels)] += 1.0
+            if payload is not None:
+                payload_bytes = self.flow_wire_payload_bytes
+                payload_bytes.cells[payload_bytes.bind(labels)] += float(payload)
+
+    def _on_msg_deliver(self, event: Mapping[str, Any], etype: str) -> None:
+        self._on_msg(event, etype)
+        latency = event.get("latency")
+        if isinstance(latency, (int, float)):
+            hists = self.message_latency
+            labels = (str(event.get("src_region", "?")), str(event.get("dst_region", "?")))
+            hists.cells[hists.bind(labels)].record(float(latency))
+
+    def _on_span_end(self, event: Mapping[str, Any], etype: str) -> None:
+        hists = self.span_duration
+        hists.cells[hists.bind((str(event.get("span", "?")),))].record(
+            float(event.get("dur", 0.0))
+        )
+        if event.get("span") == "request":
+            requests = self.requests
+            requests.cells[requests.bind((str(event.get("outcome", "?")),))] += 1.0
+
+    def _on_site_serve(self, event: Mapping[str, Any], etype: str) -> None:
+        tokens = event.get("tokens_left")
+        node = str(event.get("node", ""))
+        if isinstance(tokens, int):
+            gauge = self.tokens_left
+            gauge.cells[gauge.bind((node,))] = float(tokens)
+        entity = event.get("entity")
+        if isinstance(entity, str) and entity:
+            counter = self.demand_entity
+            counter.cells[counter.bind((entity,))] += 1.0
+        if event.get("kind") == "acquire" and "waited" in event:
+            waited = bool(event.get("waited"))
+            status = event.get("status")
+            if status == "granted":
+                path = "waited" if waited else "local"
+                self.demand_requests.inc(node, path)
+                split = self._locality.setdefault(node, [0, 0])
+                split[1 if waited else 0] += 1
+                self.demand_locality.set(node, value=split[0] / (split[0] + split[1]))
+            elif status == "rejected":
+                self.demand_rejected.inc(node)
+                if waited:
+                    self.demand_starved.inc(node)
+
+    # -- cold folds -------------------------------------------------------------
+
+    def _on_realloc(self, event: Mapping[str, Any], etype: str) -> None:
+        self.reallocations.inc(etype[8:])
+        if etype == "realloc.apply":
+            tokens_after = event.get("tokens_after")
+            if isinstance(tokens_after, int):
+                self.tokens_left.set(str(event.get("node", "")), value=float(tokens_after))
+
+    def _on_pledge(self, event: Mapping[str, Any], etype: str) -> None:
+        node = str(event.get("node", ""))
+        if etype == "pledge.open":
+            self.pledge_opened.inc(node)
+            self.pledges_open.set(node, value=1.0)
+        elif etype == "pledge.settle":
+            self.pledge_settled.inc(node, str(event.get("reason", "?")))
+            self.pledges_open.set(node, value=0.0)
+        elif etype == "pledge.recover":
+            self.pledge_recoveries.inc(node)
+
+    def _on_epoch_close(self, event: Mapping[str, Any], etype: str) -> None:
+        predicted = event.get("predicted")
+        if isinstance(predicted, (int, float)) and not isinstance(predicted, bool):
             node = str(event.get("node", ""))
-            if etype == "pledge.open":
-                self.pledge_opened.inc(node)
-                self.pledges_open.set(node, value=1.0)
-            elif etype == "pledge.settle":
-                self.pledge_settled.inc(node, str(event.get("reason", "?")))
-                self.pledges_open.set(node, value=0.0)
-            elif etype == "pledge.recover":
-                self.pledge_recoveries.inc(node)
-        elif etype.startswith("liveness."):
-            self.liveness_events.inc(etype[9:])
-        elif etype == "invariant.check":
-            self.invariant_checks.inc()
-        elif etype == "invariant.violation":
-            self.invariant_violations.inc(str(event.get("invariant", "?")))
-        elif etype == "site.serve":
-            tokens = event.get("tokens_left")
-            node = str(event.get("node", ""))
-            if isinstance(tokens, int):
-                self.tokens_left.set(node, value=float(tokens))
-            entity = event.get("entity")
-            if isinstance(entity, str) and entity:
-                self.demand_entity.inc(entity)
-            if event.get("kind") == "acquire" and "waited" in event:
-                waited = bool(event.get("waited"))
-                status = event.get("status")
-                if status == "granted":
-                    path = "waited" if waited else "local"
-                    self.demand_requests.inc(node, path)
-                    split = self._locality.setdefault(node, [0, 0])
-                    split[1 if waited else 0] += 1
-                    self.demand_locality.set(
-                        node, value=split[0] / (split[0] + split[1])
-                    )
-                elif status == "rejected":
-                    self.demand_rejected.inc(node)
-                    if waited:
-                        self.demand_starved.inc(node)
-        elif etype == "flow.backpressure":
-            self.flow_backpressure.inc(str(event.get("queue", "?")))
-        elif etype == "epoch.close":
-            predicted = event.get("predicted")
-            if isinstance(predicted, (int, float)) and not isinstance(
-                predicted, bool
-            ):
-                node = str(event.get("node", ""))
-                observed = float(event.get("demand", 0.0) or 0.0)
-                error = float(predicted) - observed
-                self.demand_pred_error.set(node, value=round(error, 6))
-                if observed > 0:
-                    acc = self._mape.setdefault(node, [0.0, 0.0])
-                    acc[0] += abs(error) / observed
-                    acc[1] += 1.0
-                    self.demand_pred_mape.set(
-                        node, value=round(100.0 * acc[0] / acc[1], 6)
-                    )
+            observed = float(event.get("demand", 0.0) or 0.0)
+            error = float(predicted) - observed
+            self.demand_pred_error.set(node, value=round(error, 6))
+            if observed > 0:
+                acc = self._mape.setdefault(node, [0.0, 0.0])
+                acc[0] += abs(error) / observed
+                acc[1] += 1.0
+                self.demand_pred_mape.set(node, value=round(100.0 * acc[0] / acc[1], 6))
+
+
+def _skip(event: Mapping[str, Any], etype: str) -> None:
+    """Fold for types only ``events_total`` and the clock count."""
 
 
 def feed_registry(events: Iterable[Mapping[str, Any]]) -> MetricsRegistry:

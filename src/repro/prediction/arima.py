@@ -19,7 +19,6 @@ from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import optimize, signal
 
 from repro.prediction.base import Predictor
 
@@ -60,6 +59,8 @@ class ArimaModel:
                 f"series too short to fit ARIMA({self.p},{self.d},{self.q}): "
                 f"{len(values)} differenced points"
             )
+        from scipy import optimize  # about 1 s to import: only when fitting
+
         start = self._initial_params(values)
         bounds = [(None, None)] + [(-1.5, 1.5)] * (self.p + self.q)
         result = optimize.minimize(
@@ -106,6 +107,8 @@ class ArimaModel:
             ar_resid[self.p :] -= _lag_matrix(values, self.p) @ phi
             ar_resid[: self.p] = 0.0  # conditional: pre-sample residuals are 0
         if self.q:
+            from scipy import signal
+
             # e_t = ar_resid_t - sum_j theta_j e_{t-j}  <=>  IIR filter.
             ar_resid = signal.lfilter([1.0], np.concatenate([[1.0], theta]), ar_resid)
         return ar_resid

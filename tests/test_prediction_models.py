@@ -1,7 +1,11 @@
 """Tests for the prediction models (random walk, seasonal, oracle, ARIMA)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,17 @@ class TestEvaluation:
     def test_empty_test_raises(self):
         with pytest.raises(ValueError):
             evaluate_predictor(RandomWalkPredictor(), [1.0], [])
+
+
+def test_cli_and_harness_imports_leave_scipy_unloaded():
+    # scipy costs about a second to import; only an ARIMA fit needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, repro.cli, repro.harness.experiment; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
